@@ -85,6 +85,15 @@ impl Rational {
     /// reduced in `u128`, so no intermediate step can wrap.
     fn try_normalized(numer: i128, denom: i128) -> Option<Self> {
         debug_assert!(denom != 0);
+        if denom == 1 {
+            // Integer fast path: already normalized, no gcd needed.
+            return Some(Rational { numer, denom });
+        }
+        Self::try_normalized_general(numer, denom)
+    }
+
+    /// The gcd-reducing body of [`Self::try_normalized`].
+    fn try_normalized_general(numer: i128, denom: i128) -> Option<Self> {
         if numer == 0 {
             return Some(Rational::ZERO);
         }
@@ -169,8 +178,22 @@ impl Rational {
         Ok(Self::normalized(self.denom, self.numer))
     }
 
+    /// Returns `true` when both operands are integers, the case the
+    /// arithmetic below serves without any gcd.
+    fn both_integers(&self, other: &Self) -> bool {
+        self.denom == 1 && other.denom == 1
+    }
+
     /// Checked addition.
     pub fn checked_add(&self, other: &Self) -> Option<Self> {
+        if self.both_integers(other) {
+            return Some(Rational::from_int(self.numer.checked_add(other.numer)?));
+        }
+        self.checked_add_general(other)
+    }
+
+    /// The gcd-reducing body of [`Self::checked_add`].
+    fn checked_add_general(&self, other: &Self) -> Option<Self> {
         // a/b + c/d = (a*d + c*b) / (b*d); reduce b,d by their gcd first.
         let g = gcd(self.denom, other.denom);
         let lhs_den = self.denom / g;
@@ -185,6 +208,8 @@ impl Rational {
 
     /// Checked subtraction.
     pub fn checked_sub(&self, other: &Self) -> Option<Self> {
+        // Negating first keeps the general path's overflow behavior: a
+        // subtrahend of `i128::MIN` overflows even when the difference fits.
         self.checked_add(&Rational {
             numer: other.numer.checked_neg()?,
             denom: other.denom,
@@ -193,6 +218,14 @@ impl Rational {
 
     /// Checked multiplication with cross-gcd reduction.
     pub fn checked_mul(&self, other: &Self) -> Option<Self> {
+        if self.both_integers(other) {
+            return Some(Rational::from_int(self.numer.checked_mul(other.numer)?));
+        }
+        self.checked_mul_general(other)
+    }
+
+    /// The cross-gcd-reducing body of [`Self::checked_mul`].
+    fn checked_mul_general(&self, other: &Self) -> Option<Self> {
         let g1 = gcd(self.numer, other.denom).max(1);
         let g2 = gcd(other.numer, self.denom).max(1);
         let numer = (self.numer / g1).checked_mul(other.numer / g2)?;
@@ -256,6 +289,16 @@ impl PartialOrd for Rational {
 
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
+        if self.both_integers(other) {
+            return self.numer.cmp(&other.numer);
+        }
+        self.cmp_general(other)
+    }
+}
+
+impl Rational {
+    /// The cross-multiplying body of [`Ord::cmp`].
+    fn cmp_general(&self, other: &Self) -> Ordering {
         // Compare a/b and c/d by comparing a*d and c*b (b, d > 0).
         let lhs = self
             .numer
@@ -445,6 +488,53 @@ mod tests {
     #[should_panic(expected = "overflowed i128")]
     fn negation_of_i128_min_panics_descriptively() {
         let _ = -Rational::from_int(i128::MIN);
+    }
+
+    #[test]
+    fn integer_fast_path_agrees_with_the_general_path() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let boundaries = [
+            i128::MIN,
+            i128::MIN + 1,
+            i128::MIN / 2,
+            -(1 << 64),
+            i128::from(i64::MIN),
+            -1,
+            0,
+            1,
+            i128::from(i64::MAX),
+            1 << 64,
+            i128::MAX / 2,
+            i128::MAX - 1,
+            i128::MAX,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5107_f4a3);
+        let mut values: Vec<i128> = boundaries.to_vec();
+        values.extend((0..200).map(|_| i128::from(rng.random_range(i64::MIN..=i64::MAX))));
+        values.extend((0..50).map(|_| i128::from(rng.random_range(-1000i64..=1000))));
+        for &a in &values {
+            let x = Rational::from_int(a);
+            assert_eq!(
+                Rational::try_normalized(a, 1),
+                Rational::try_normalized_general(a, 1),
+                "normalize {a}"
+            );
+            for &b in &values {
+                let y = Rational::from_int(b);
+                assert_eq!(x.checked_add(&y), x.checked_add_general(&y), "{a} + {b}");
+                let general_sub = b.checked_neg().and_then(|negated| {
+                    x.checked_add_general(&Rational {
+                        numer: negated,
+                        denom: 1,
+                    })
+                });
+                assert_eq!(x.checked_sub(&y), general_sub, "{a} - {b}");
+                assert_eq!(x.checked_mul(&y), x.checked_mul_general(&y), "{a} * {b}");
+                assert_eq!(x.cmp(&y), x.cmp_general(&y), "{a} cmp {b}");
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! are subsumed by known facts are discarded, as in Tables 1 and 2 of the
 //! paper.
 //!
-//! Ground facts and ground bindings are handled on a fast path that avoids
-//! Fourier–Motzkin work entirely, so programs whose evaluation computes only
-//! ground facts (Theorem 4.4) evaluate with ordinary Datalog-like cost.
+//! Every join path matches facts into the slot frame of `crate::slots`,
+//! which decides the rule's constraints arithmetically as their variables
+//! are bound; ground facts and ground bindings never reach Fourier–Motzkin,
+//! so programs whose evaluation computes only ground facts (Theorem 4.4)
+//! evaluate with ordinary Datalog-like cost.
 //!
 //! Two join cores are available behind [`EvalOptions::index`]:
 //!
@@ -31,14 +33,15 @@ use std::time::Instant;
 
 use pcs_telemetry as telemetry;
 
-use pcs_constraints::{Atom, CmpOp, Conjunction, LinearExpr, Rational, Var};
-use pcs_lang::{Literal, Pred, Program, Query, Rule, Symbol, Term};
+use pcs_constraints::{Atom, CmpOp, Conjunction, LinearExpr, Var};
+use pcs_lang::{Literal, Pred, Program, Query, Rule, Term};
 
 use crate::database::{Database, UpdateBatch};
 use crate::fact::{Binding, Fact};
 use crate::limits::{EvalLimits, Termination};
 use crate::plan::{compile_plans, PlanStep, ProgramPlans, SelectivityHints};
 use crate::relation::{FactRef, InsertOutcome, Relation, Window};
+use crate::slots::{ArithmeticOverflow, Frame, Kernel, SlotRule, SlotTerm};
 use crate::stats::{DerivationRecord, EvalStats, IterationStats};
 use crate::value::Value;
 
@@ -531,118 +534,6 @@ fn fact_matches_pattern(fact: &Fact, query: &Literal, side: &Conjunction) -> boo
     constraint.is_satisfiable()
 }
 
-/// A partially constructed derivation: symbolic bindings, ground numeric
-/// bindings, a residual conjunction over not-yet-ground variables, and a
-/// monotone counter for naming join variables.
-#[derive(Clone)]
-struct PartialMatch {
-    sym: BTreeMap<Var, Symbol>,
-    num: BTreeMap<Var, Rational>,
-    extra: Conjunction,
-    /// Monotone fresh-variable counter for this derivation.  Carried through
-    /// clones so that every join variable minted while extending the same
-    /// derivation gets a distinct name, no matter how `extra`/`num` shrink or
-    /// grow in between (a previous size-based scheme could collide and
-    /// silently capture variables across facts).
-    fresh: u64,
-}
-
-impl PartialMatch {
-    fn start(rule: &Rule) -> Self {
-        PartialMatch {
-            sym: BTreeMap::new(),
-            num: BTreeMap::new(),
-            extra: rule.constraint.clone(),
-            fresh: 0,
-        }
-    }
-
-    /// Mints a join variable for argument position `position` (1-based) of
-    /// the fact currently being matched.
-    fn fresh_var(&mut self, position: usize) -> Var {
-        self.fresh += 1;
-        Var::new(format!("_j{}p{}", self.fresh, position))
-    }
-
-    fn bind_sym(&mut self, var: &Var, sym: &Symbol) -> bool {
-        if self.num.contains_key(var) || self.extra.contains_var(var) {
-            return false;
-        }
-        match self.sym.get(var) {
-            Some(existing) => existing == sym,
-            None => {
-                self.sym.insert(var.clone(), *sym);
-                true
-            }
-        }
-    }
-
-    fn bind_num(&mut self, var: &Var, value: Rational) -> bool {
-        if self.sym.contains_key(var) {
-            return false;
-        }
-        match self.num.get(var) {
-            Some(existing) => *existing == value,
-            None => {
-                self.num.insert(var.clone(), value);
-                true
-            }
-        }
-    }
-
-    fn add_atom(&mut self, atom: Atom) -> bool {
-        if atom.vars().any(|v| self.sym.contains_key(v)) {
-            return false;
-        }
-        self.extra.push(atom);
-        true
-    }
-
-    /// Substitutes known numeric bindings into the residual conjunction,
-    /// evaluates atoms that became ground, and extracts newly pinned
-    /// variables.  Returns `false` if a ground atom evaluates to false.
-    fn resolve(&mut self) -> bool {
-        loop {
-            let mut rewritten = Conjunction::truth();
-            let mut new_bindings: Vec<(Var, Rational)> = Vec::new();
-            for atom in self.extra.atoms() {
-                let mut current = atom.clone();
-                for v in atom.vars() {
-                    if let Some(value) = self.num.get(v) {
-                        current = current.substitute(v, &LinearExpr::constant(*value));
-                    }
-                }
-                if current.is_trivially_false() {
-                    return false;
-                }
-                if current.is_trivially_true() {
-                    continue;
-                }
-                if let Some((var, value)) = current.as_ground_binding() {
-                    new_bindings.push((var, value));
-                    continue;
-                }
-                rewritten.push(current);
-            }
-            self.extra = rewritten;
-            if new_bindings.is_empty() {
-                return true;
-            }
-            for (var, value) in new_bindings {
-                if !self.bind_num(&var, value) {
-                    return false;
-                }
-            }
-        }
-    }
-
-    /// Final satisfiability check over the residual (non-ground) constraints.
-    fn is_consistent(&self) -> bool {
-        telemetry::bump(telemetry::Counter::FmSatCalls);
-        self.extra.is_satisfiable()
-    }
-}
-
 /// The bottom-up semi-naive evaluator.
 pub struct Evaluator {
     program: Program,
@@ -651,6 +542,9 @@ pub struct Evaluator {
     /// [`EvalOptions::plan`] is on; `None` keeps the dynamic per-iteration
     /// ordering.
     plans: Option<ProgramPlans>,
+    /// Every rule compiled into slot form, by rule index: the binding
+    /// header every join path matches against.
+    slot_rules: Vec<SlotRule>,
 }
 
 impl Evaluator {
@@ -664,10 +558,12 @@ impl Evaluator {
             let _span = telemetry::span_if(options.telemetry, telemetry::Phase::PlanCompile);
             compile_plans(&program, &options.hints)
         });
+        let slot_rules = program.rules().iter().map(SlotRule::compile).collect();
         Evaluator {
             program,
             options,
             plans,
+            slot_rules,
         }
     }
 
@@ -858,13 +754,24 @@ impl Evaluator {
                 by_pred.entry(fact.predicate()).or_default().push(fact);
             }
             let mut next: Vec<Fact> = Vec::new();
-            for rule in self.program.rules() {
+            for (rule, slots) in self.program.rules().iter().zip(&self.slot_rules) {
                 for delta_pos in 0..rule.body.len() {
                     let Some(deleted_here) = by_pred.get(&rule.body[delta_pos].predicate) else {
                         continue;
                     };
                     for deleted in deleted_here {
-                        for head in overdelete_derivations(rule, delta_pos, deleted, &relations) {
+                        let Ok(heads) =
+                            overdelete_derivations(rule, slots, delta_pos, deleted, &relations)
+                        else {
+                            return self.stop_apply(
+                                relations,
+                                Vec::new(),
+                                mark_retracted,
+                                0,
+                                Termination::ArithmeticOverflow,
+                            );
+                        };
+                        for head in heads {
                             let Some(relation) = relations.get(head.predicate()) else {
                                 continue;
                             };
@@ -935,7 +842,13 @@ impl Evaluator {
                 }
             }
             let mut tasks: Vec<RoundTask<'_>> = Vec::new();
-            for (rule_index, rule) in self.program.rules().iter().enumerate() {
+            for (rule_index, (rule, slots)) in self
+                .program
+                .rules()
+                .iter()
+                .zip(&self.slot_rules)
+                .enumerate()
+            {
                 let Some(targets) = removed_facts.get(&rule.head.predicate) else {
                     continue;
                 };
@@ -946,6 +859,7 @@ impl Evaluator {
                 if rule.body.is_empty() {
                     tasks.push(RoundTask {
                         rule,
+                        slots,
                         label,
                         kind: TaskKind::Seed,
                     });
@@ -955,24 +869,33 @@ impl Evaluator {
                     let order = order_known(rule, None, &BTreeSet::new(), &relations);
                     tasks.push(RoundTask {
                         rule,
+                        slots,
                         label,
                         kind: TaskKind::Pinned {
                             order,
-                            start: PartialMatch::start(rule),
+                            start: Frame::new(slots),
                         },
                     });
                 } else {
                     for target in targets {
-                        let Some(start) = match_literal(
-                            &PartialMatch::start(rule),
-                            &rule.head,
-                            FactRef::Stored(target),
-                        ) else {
-                            continue;
-                        };
-                        let order = order_known(rule, None, &bound_vars(&start), &relations);
+                        let mut start = Frame::new(slots);
+                        match start.match_fact(slots, slots.head(), FactRef::Stored(target)) {
+                            Ok(true) => {}
+                            Ok(false) => continue,
+                            Err(ArithmeticOverflow) => {
+                                return self.stop_apply(
+                                    relations,
+                                    vec![rederive_stats],
+                                    mark_retracted,
+                                    removed_total,
+                                    Termination::ArithmeticOverflow,
+                                );
+                            }
+                        }
+                        let order = order_known(rule, None, &start.bound_vars(slots), &relations);
                         tasks.push(RoundTask {
                             rule,
+                            slots,
                             label: label.clone(),
                             kind: TaskKind::Pinned { order, start },
                         });
@@ -1050,16 +973,13 @@ impl Evaluator {
             relation.advance();
         }
         if let Some(limit) = hit_limit {
-            let stats = EvalStats {
-                iterations: vec![rederive_stats],
-                indexed: self.options.index,
-                resumed: true,
-                retracted: mark_retracted,
-                removed_facts: removed_total,
-                ..EvalStats::default()
-            };
-            telemetry::flush_thread();
-            return Evaluator::finalize(relations, stats, limit);
+            return self.stop_apply(
+                relations,
+                vec![rederive_stats],
+                mark_retracted,
+                removed_total,
+                limit,
+            );
         }
         let mut result = self.run_fixpoint(
             Start::Resume(relations),
@@ -1072,6 +992,29 @@ impl Evaluator {
             result.stats.removed_facts = removed_total;
         }
         result
+    }
+
+    /// Ends an incremental pass before its resumed fixpoint (a limit hit in
+    /// the re-derivation round, or arithmetic overflow) with the stats shape
+    /// of a resumed run.
+    fn stop_apply(
+        &self,
+        relations: BTreeMap<Pred, Relation>,
+        iterations: Vec<IterationStats>,
+        retracted: bool,
+        removed_facts: usize,
+        termination: Termination,
+    ) -> EvalResult {
+        let stats = EvalStats {
+            iterations,
+            indexed: self.options.index,
+            resumed: true,
+            retracted,
+            removed_facts,
+            ..EvalStats::default()
+        };
+        telemetry::flush_thread();
+        Evaluator::finalize(relations, stats, termination)
     }
 
     /// An empty relation with this evaluator's configured storage layout
@@ -1361,7 +1304,13 @@ impl Evaluator {
     ) -> (Vec<RoundTask<'_>>, usize) {
         let mut tasks = Vec::new();
         let mut work = 0usize;
-        for (rule_index, rule) in self.program.rules().iter().enumerate() {
+        for (rule_index, (rule, slots)) in self
+            .program
+            .rules()
+            .iter()
+            .zip(&self.slot_rules)
+            .enumerate()
+        {
             let label = rule
                 .label
                 .clone()
@@ -1374,6 +1323,7 @@ impl Evaluator {
                     work += 1;
                     tasks.push(RoundTask {
                         rule,
+                        slots,
                         label,
                         kind: TaskKind::Seed,
                     });
@@ -1398,13 +1348,14 @@ impl Evaluator {
                         // (the plan's first step is the delta literal), then
                         // the precompiled steps drive the join.
                         let first = (plan.steps[0].literal, plan.steps[0].window);
-                        let candidates = delta_candidates(rule, &[first], relations);
+                        let candidates = delta_candidates(rule, slots, &[first], relations);
                         if candidates.is_empty() {
                             continue;
                         }
                         work += candidates.len();
                         tasks.push(RoundTask {
                             rule,
+                            slots,
                             label: label.clone(),
                             kind: TaskKind::Planned {
                                 steps: plan.steps.clone(),
@@ -1421,13 +1372,14 @@ impl Evaluator {
                         .entry((rule_index, delta_pos))
                         .or_insert_with(|| order_body(rule, delta_pos, relations))
                         .clone();
-                    let candidates = delta_candidates(rule, &order, relations);
+                    let candidates = delta_candidates(rule, slots, &order, relations);
                     if candidates.is_empty() {
                         continue;
                     }
                     work += candidates.len();
                     tasks.push(RoundTask {
                         rule,
+                        slots,
                         label: label.clone(),
                         kind: TaskKind::Indexed { order, candidates },
                     });
@@ -1472,6 +1424,7 @@ impl Evaluator {
                     work += hi - lo;
                     tasks.push(RoundTask {
                         rule,
+                        slots,
                         label: label.clone(),
                         kind: TaskKind::Legacy { delta_pos, order },
                     });
@@ -1489,7 +1442,12 @@ impl Evaluator {
 fn chunk_tasks(tasks: Vec<RoundTask<'_>>, threads: usize) -> Vec<RoundTask<'_>> {
     let mut out = Vec::with_capacity(tasks.len());
     for task in tasks {
-        let RoundTask { rule, label, kind } = task;
+        let RoundTask {
+            rule,
+            slots,
+            label,
+            kind,
+        } = task;
         match kind {
             TaskKind::Indexed { order, candidates } => {
                 let chunk = candidates
@@ -1499,6 +1457,7 @@ fn chunk_tasks(tasks: Vec<RoundTask<'_>>, threads: usize) -> Vec<RoundTask<'_>> 
                 if chunk >= candidates.len() {
                     out.push(RoundTask {
                         rule,
+                        slots,
                         label,
                         kind: TaskKind::Indexed { order, candidates },
                     });
@@ -1506,6 +1465,7 @@ fn chunk_tasks(tasks: Vec<RoundTask<'_>>, threads: usize) -> Vec<RoundTask<'_>> 
                     for slice in candidates.chunks(chunk) {
                         out.push(RoundTask {
                             rule,
+                            slots,
                             label: label.clone(),
                             kind: TaskKind::Indexed {
                                 order: order.clone(),
@@ -1523,6 +1483,7 @@ fn chunk_tasks(tasks: Vec<RoundTask<'_>>, threads: usize) -> Vec<RoundTask<'_>> 
                 if chunk >= candidates.len() {
                     out.push(RoundTask {
                         rule,
+                        slots,
                         label,
                         kind: TaskKind::Planned { steps, candidates },
                     });
@@ -1530,6 +1491,7 @@ fn chunk_tasks(tasks: Vec<RoundTask<'_>>, threads: usize) -> Vec<RoundTask<'_>> 
                     for slice in candidates.chunks(chunk) {
                         out.push(RoundTask {
                             rule,
+                            slots,
                             label: label.clone(),
                             kind: TaskKind::Planned {
                                 steps: steps.clone(),
@@ -1539,7 +1501,12 @@ fn chunk_tasks(tasks: Vec<RoundTask<'_>>, threads: usize) -> Vec<RoundTask<'_>> 
                     }
                 }
             }
-            kind => out.push(RoundTask { rule, label, kind }),
+            kind => out.push(RoundTask {
+                rule,
+                slots,
+                label,
+                kind,
+            }),
         }
     }
     out
@@ -1555,6 +1522,8 @@ const TASK_CHUNKS_PER_THREAD: usize = 4;
 /// relations; their buffers are absorbed in task order at the barrier.
 struct RoundTask<'a> {
     rule: &'a Rule,
+    /// The rule in slot form.
+    slots: &'a SlotRule,
     /// The rule's display label for derivation records.
     label: String,
     kind: TaskKind,
@@ -1587,12 +1556,12 @@ enum TaskKind {
     /// the enumerated fact combinations are the same either way).
     Legacy { delta_pos: usize, order: Vec<usize> },
     /// A retraction re-derivation join: every literal reads [`Window::Known`]
-    /// of the sealed survivor relations, starting from a partial match whose
-    /// head bindings were pinned to an over-deleted target fact (or from an
-    /// empty match for the unpinned full-rule fallback).
+    /// of the sealed survivor relations, starting from a frame whose head
+    /// slots were pinned to an over-deleted target fact (or from an empty
+    /// frame for the unpinned full-rule fallback).
     Pinned {
         order: Vec<(usize, Window)>,
-        start: PartialMatch,
+        start: Frame,
     },
 }
 
@@ -1613,66 +1582,53 @@ struct RoundCtx<'a> {
     prev: &'a BTreeMap<Pred, usize>,
 }
 
+/// What one round task produced.
+#[derive(Default)]
+struct TaskOutput {
+    /// The head facts derived, in derivation order.
+    derived: Vec<Fact>,
+    /// Whether the task stopped on arithmetic overflow after `derived`.
+    overflow: bool,
+}
+
 /// Runs one task to completion, collecting at most `cap` derived facts.
-fn run_task(task: &RoundTask<'_>, ctx: &RoundCtx<'_>, cap: usize) -> Vec<Fact> {
+fn run_task(task: &RoundTask<'_>, ctx: &RoundCtx<'_>, cap: usize) -> TaskOutput {
     let mut derived = Vec::new();
-    let rule = task.rule;
-    match &task.kind {
-        TaskKind::Seed => finish_derivation(rule, PartialMatch::start(rule), &mut derived),
+    let join = Join {
+        rule: task.rule,
+        slots: task.slots,
+        relations: ctx.relations,
+        cap,
+    };
+    let run = match &task.kind {
+        TaskKind::Seed => join.finish(&mut Frame::new(task.slots), &mut derived),
         TaskKind::Indexed { order, candidates } => {
-            let literal = &rule.body[order[0].0];
-            let Some(relation) = ctx.relations.get(&literal.predicate) else {
-                return derived;
-            };
-            let start = PartialMatch::start(rule);
-            for &index in candidates {
-                if derived.len() >= cap {
-                    break;
-                }
-                if let Some(next) = match_literal(&start, literal, relation.fact_ref(index)) {
-                    join_indexed(rule, order, 1, next, ctx.relations, &mut derived, cap);
-                }
-            }
+            join.candidates(order[0].0, candidates, &mut derived, |frame, derived| {
+                join.indexed(order, 1, frame, derived)
+            })
         }
-        TaskKind::Pinned { order, start } => join_indexed(
-            rule,
-            order,
-            0,
-            start.clone(),
-            ctx.relations,
+        TaskKind::Planned { steps, candidates } => join.candidates(
+            steps[0].literal,
+            candidates,
             &mut derived,
-            cap,
+            |frame, derived| join.planned(steps, 1, frame, derived),
         ),
-        TaskKind::Planned { steps, candidates } => {
-            let literal = &rule.body[steps[0].literal];
-            let Some(relation) = ctx.relations.get(&literal.predicate) else {
-                return derived;
-            };
-            let start = PartialMatch::start(rule);
-            for &index in candidates {
-                if derived.len() >= cap {
-                    break;
-                }
-                if let Some(next) = match_literal(&start, literal, relation.fact_ref(index)) {
-                    join_planned(rule, steps, 1, next, ctx.relations, &mut derived, cap);
-                }
-            }
+        TaskKind::Pinned { order, start } => {
+            join.indexed(order, 0, &mut start.clone(), &mut derived)
         }
-        TaskKind::Legacy { delta_pos, order } => join_legacy(
-            rule,
+        TaskKind::Legacy { delta_pos, order } => join.legacy(
             order,
             0,
             *delta_pos,
-            ctx.naive_round,
-            PartialMatch::start(rule),
-            ctx.relations,
-            ctx.before_prev,
-            ctx.prev,
+            ctx,
+            &mut Frame::new(task.slots),
             &mut derived,
-            cap,
         ),
+    };
+    TaskOutput {
+        derived,
+        overflow: run.is_err(),
     }
-    derived
 }
 
 /// Runs the tasks of one iteration on a scoped worker pool and returns one
@@ -1690,27 +1646,27 @@ fn run_tasks_parallel(
     ctx: &RoundCtx<'_>,
     budget: usize,
     threads: usize,
-) -> Vec<Vec<Fact>> {
+) -> Vec<TaskOutput> {
     let workers = threads.min(tasks.len());
     let cursor = AtomicUsize::new(0);
     let progress = RoundProgress::new(tasks.len());
-    let collected: Vec<(usize, Vec<Fact>)> = std::thread::scope(|scope| {
+    let collected: Vec<(usize, TaskOutput)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut local: Vec<(usize, Vec<Fact>)> = Vec::new();
+                    let mut local: Vec<(usize, TaskOutput)> = Vec::new();
                     loop {
                         let ordinal = cursor.fetch_add(1, AtomicOrdering::Relaxed);
                         let Some(task) = tasks.get(ordinal) else {
                             break;
                         };
-                        let derived = if progress.prefix_derivations() >= budget {
-                            Vec::new()
+                        let output = if progress.prefix_derivations() >= budget {
+                            TaskOutput::default()
                         } else {
                             run_task(task, ctx, budget)
                         };
-                        progress.record(ordinal, derived.len());
-                        local.push((ordinal, derived));
+                        progress.record(ordinal, output.derived.len());
+                        local.push((ordinal, output));
                     }
                     // Fold this worker's thread-local telemetry counters into
                     // the shared registry before the thread exits.
@@ -1723,18 +1679,17 @@ fn run_tasks_parallel(
             .into_iter()
             .flat_map(|handle| {
                 // Re-raise a worker panic with its original payload so that
-                // e.g. the descriptive rational-overflow messages survive
-                // the thread boundary.
+                // its message survives the thread boundary.
                 handle
                     .join()
                     .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
             })
             .collect()
     });
-    let mut buffers: Vec<Vec<Fact>> = Vec::new();
-    buffers.resize_with(tasks.len(), Vec::new);
-    for (ordinal, derived) in collected {
-        buffers[ordinal] = derived;
+    let mut buffers: Vec<TaskOutput> = Vec::new();
+    buffers.resize_with(tasks.len(), TaskOutput::default);
+    for (ordinal, output) in collected {
+        buffers[ordinal] = output;
     }
     buffers
 }
@@ -1799,9 +1754,11 @@ struct EvalTotals {
 /// `max_facts` (or the first derivation that reaches `max_derivations`)
 /// stops the absorption immediately, so a single huge iteration cannot
 /// overshoot the caps by the size of its buffered round.  The fact limit
-/// takes precedence when both trip on the same fact.
+/// takes precedence when both trip on the same fact.  A task that stopped
+/// on arithmetic overflow ends the evaluation once the facts it derived
+/// before the overflow are absorbed.
 fn absorb_derived(
-    derived: Vec<Fact>,
+    output: TaskOutput,
     rule_label: &str,
     trace: bool,
     limits: &EvalLimits,
@@ -1809,7 +1766,7 @@ fn absorb_derived(
     iter_stats: &mut IterationStats,
     totals: &mut EvalTotals,
 ) -> Option<Termination> {
-    for fact in derived {
+    for fact in output.derived {
         totals.derivations += 1;
         iter_stats.derivations += 1;
         let rendered = trace.then(|| fact.to_string());
@@ -1840,7 +1797,7 @@ fn absorb_derived(
     }
     // A database over the fact limit before any rule fires is caught by the
     // loop-top check in `run_fixpoint`, so reaching here means under-limit.
-    None
+    output.overflow.then_some(Termination::ArithmeticOverflow)
 }
 
 /// Returns `true` if every variable of `term` is already bound (constants
@@ -1949,541 +1906,321 @@ fn order_known(
     greedy_order(rule, None, skip, bound, &|_| Window::Known, relations)
 }
 
-/// The variables a partial match has already bound to a value (symbolic or
-/// numeric), used to seed the greedy body ordering of pinned joins.
-fn bound_vars(pm: &PartialMatch) -> BTreeSet<Var> {
-    pm.sym
-        .keys()
-        .cloned()
-        .chain(pm.num.keys().cloned())
-        .collect()
-}
-
 /// The head facts of every derivation of `rule` that consumes `deleted` at
 /// body position `delta_pos` and arbitrary stored facts (the full sealed
 /// materialization, removed facts included) at the other positions — the
 /// one-step support propagation of the DRed over-deletion phase.
 fn overdelete_derivations(
     rule: &Rule,
+    slots: &SlotRule,
     delta_pos: usize,
     deleted: &Fact,
     relations: &BTreeMap<Pred, Relation>,
-) -> Vec<Fact> {
+) -> Kernel<Vec<Fact>> {
     let mut derived = Vec::new();
-    let Some(pm) = match_literal(
-        &PartialMatch::start(rule),
-        &rule.body[delta_pos],
-        FactRef::Stored(deleted),
-    ) else {
-        return derived;
+    let mut frame = Frame::new(slots);
+    if !frame.match_fact(slots, slots.body(delta_pos), FactRef::Stored(deleted))? {
+        return Ok(derived);
+    }
+    let order = order_known(rule, Some(delta_pos), &frame.bound_vars(slots), relations);
+    let join = Join {
+        rule,
+        slots,
+        relations,
+        cap: usize::MAX,
     };
-    let order = order_known(rule, Some(delta_pos), &bound_vars(&pm), relations);
-    join_indexed(rule, &order, 0, pm, relations, &mut derived, usize::MAX);
-    derived
+    join.indexed(&order, 0, &mut frame, &mut derived)?;
+    Ok(derived)
 }
 
-/// The concrete [`Value`] a term resolves to under a partial match, if the
-/// match determines one: constants resolve to themselves, variables through
-/// the match's bindings, and linear expressions when every variable has a
-/// numeric binding.  A variable bound only through a matched constraint-fact
-/// interval (not to a concrete value) does *not* resolve.
-fn term_value(pm: &PartialMatch, term: &Term) -> Option<Value> {
-    match term {
-        Term::Sym(s) => Some(Value::Sym(*s)),
-        Term::Num(n) => Some(Value::num(*n)),
-        Term::Var(x) => pm
-            .sym
-            .get(x)
-            .map(|s| Value::Sym(*s))
-            .or_else(|| pm.num.get(x).map(|n| Value::num(*n))),
-        Term::Expr(e) => {
-            let mut expr = e.clone();
-            for v in e.vars() {
-                if let Some(value) = pm.num.get(v) {
-                    expr = expr.substitute(v, &LinearExpr::constant(*value));
-                }
+/// The probe for `terms` read through `window` of `relation`: among the
+/// argument positions whose value the frame determines, the one with the
+/// shortest posting list (the first on ties), with that value.
+fn best_probe(
+    frame: &Frame,
+    terms: &[SlotTerm],
+    relation: &Relation,
+    window: Window,
+) -> Kernel<Option<(usize, Value)>> {
+    let mut best: Option<(usize, Value, usize)> = None;
+    for (pos, term) in terms.iter().enumerate() {
+        if let Some(value) = frame.value_of(term)? {
+            let len = relation.probe_len(window, pos, &value);
+            if best
+                .as_ref()
+                .map_or(true, |(_, _, shortest)| len < *shortest)
+            {
+                best = Some((pos, value, len));
             }
-            expr.is_constant().then(|| Value::num(expr.constant_part()))
         }
     }
-}
-
-/// The argument positions of `literal` whose value is already determined by
-/// the partial match, with that value — the candidate index probes.
-fn bound_probes(pm: &PartialMatch, literal: &Literal) -> Vec<(usize, Value)> {
-    literal
-        .args
-        .iter()
-        .enumerate()
-        .filter_map(|(i, term)| term_value(pm, term).map(|value| (i, value)))
-        .collect()
+    Ok(best.map(|(pos, value, _)| (pos, value)))
 }
 
 /// The delta-window fact indices the first (delta) literal of `order` can
-/// match, in the exact order the join visits them: the most selective bound
-/// argument position (constants of the literal; the partial match is still
-/// empty at step 0) probes the relation's hash index, and a literal with no
-/// bound arguments falls back to scanning the delta window.
+/// match, in the exact order the join visits them: the most selective
+/// constant argument position (the frame is still empty at step 0) probes
+/// the relation's hash index, and a literal with no constant arguments
+/// falls back to scanning the delta window.
 ///
 /// This is the sharding axis of a parallel round: the candidate list is
 /// chunked across tasks, and concatenating the per-chunk results in order
 /// reproduces the sequential derivation sequence.
 fn delta_candidates(
     rule: &Rule,
+    slots: &SlotRule,
     order: &[(usize, Window)],
     relations: &BTreeMap<Pred, Relation>,
 ) -> Vec<usize> {
     let (literal_index, window) = order[0];
-    let literal = &rule.body[literal_index];
-    let Some(relation) = relations.get(&literal.predicate) else {
+    let Some(relation) = relations.get(&rule.body[literal_index].predicate) else {
         return Vec::new();
     };
-    let pm = PartialMatch::start(rule);
-    let probes = bound_probes(&pm, literal);
-    let best = probes
-        .iter()
-        .min_by_key(|(pos, value)| relation.probe_len(window, *pos, value));
-    match best {
+    // An empty frame resolves only constants, which cannot overflow.
+    let frame = Frame::new(slots);
+    match best_probe(&frame, slots.body(literal_index), relation, window).unwrap_or(None) {
         Some((pos, value)) => {
             telemetry::bump(telemetry::Counter::IndexProbes);
-            relation.probe_indices(window, *pos, value).collect()
+            relation.probe_indices(window, pos, &value).collect()
         }
         None => relation.window_range(window).collect(),
     }
 }
 
-/// Recursively joins the body literals of `rule` in the given order from
-/// `step` onwards (step 0, the delta literal, is enumerated by
-/// [`delta_candidates`]), collecting the facts of every completed derivation
-/// into `derived` until `cap` facts have been collected.
-///
-/// At each step the most selective bound argument position probes the
-/// relation's hash index (exact matches plus the constraint-fact tail); a
-/// literal with no bound arguments falls back to scanning its window.
-#[allow(clippy::too_many_arguments)]
-fn join_indexed(
-    rule: &Rule,
-    order: &[(usize, Window)],
-    step: usize,
-    pm: PartialMatch,
-    relations: &BTreeMap<Pred, Relation>,
-    derived: &mut Vec<Fact>,
+/// One rule's join over a set of relations: what every join path shares
+/// while it recurses over the body with one [`Frame`], matching a candidate
+/// in place and rolling the frame back before the next.
+struct Join<'a> {
+    rule: &'a Rule,
+    slots: &'a SlotRule,
+    relations: &'a BTreeMap<Pred, Relation>,
+    /// The join stops once this many facts have been derived.
     cap: usize,
-) {
-    if derived.len() >= cap {
-        return;
-    }
-    let Some(&(literal_index, window)) = order.get(step) else {
-        finish_derivation(rule, pm, derived);
-        return;
-    };
-    let literal = &rule.body[literal_index];
-    let Some(relation) = relations.get(&literal.predicate) else {
-        return;
-    };
-    let probes = bound_probes(&pm, literal);
-    let best = probes
-        .iter()
-        .min_by_key(|(pos, value)| relation.probe_len(window, *pos, value));
-    match best {
-        Some((pos, value)) => {
-            telemetry::bump(telemetry::Counter::IndexProbes);
-            for fact in relation.probe(window, *pos, value) {
-                if let Some(next) = match_literal(&pm, literal, fact) {
-                    telemetry::bump(telemetry::Counter::ProbeHits);
-                    join_indexed(rule, order, step + 1, next, relations, derived, cap);
-                } else {
-                    telemetry::bump(telemetry::Counter::ProbeMisses);
-                }
-            }
-        }
-        None => {
-            for fact in relation.window_refs(window) {
-                if let Some(next) = match_literal(&pm, literal, fact) {
-                    join_indexed(rule, order, step + 1, next, relations, derived, cap);
-                }
-            }
-        }
-    }
 }
 
-/// Recursively joins the body literals of `rule` along a precompiled plan
-/// from `step` onwards (step 0, the delta literal, is enumerated by
-/// [`delta_candidates`]), collecting at most `cap` derived facts.
-///
-/// Unlike [`join_indexed`], which re-scans every bound argument position per
-/// partial match to pick the shortest posting list, the probe column here was
-/// fixed at plan-compilation time; if a constraint-fact match left that
-/// column without a concrete value at run time, the step falls back to
-/// scanning its window.  A step the plan marked as an existence check stops
-/// at its first match — guarded to the case where every argument resolves to
-/// a concrete value and the relation holds no constraint facts, in which
-/// ground deduplication guarantees at most one matching row anyway, so the
-/// shortcut saves the rest of the scan without changing any statistics.
-fn join_planned(
-    rule: &Rule,
-    steps: &[PlanStep],
-    step: usize,
-    pm: PartialMatch,
-    relations: &BTreeMap<Pred, Relation>,
-    derived: &mut Vec<Fact>,
-    cap: usize,
-) {
-    if derived.len() >= cap {
-        return;
+impl Join<'_> {
+    /// Completes a derivation and records its head fact.
+    fn finish(&self, frame: &mut Frame, derived: &mut Vec<Fact>) -> Kernel<()> {
+        if let Some(fact) = frame.finish(self.slots, self.rule)? {
+            derived.push(fact);
+        }
+        Ok(())
     }
-    let Some(plan_step) = steps.get(step) else {
-        finish_derivation(rule, pm, derived);
-        return;
-    };
-    let literal = &rule.body[plan_step.literal];
-    let Some(relation) = relations.get(&literal.predicate) else {
-        return;
-    };
-    let exists_only = plan_step.existence
-        && relation.constraint_fact_count() == 0
-        && literal.args.iter().all(|t| term_value(&pm, t).is_some());
-    let probe = plan_step
-        .probe
-        .and_then(|pos| term_value(&pm, &literal.args[pos]).map(|value| (pos, value)));
-    match probe {
-        Some((pos, value)) => {
-            telemetry::bump(telemetry::Counter::IndexProbes);
-            for fact in relation.probe(plan_step.window, pos, &value) {
-                if let Some(next) = match_literal(&pm, literal, fact) {
-                    telemetry::bump(telemetry::Counter::ProbeHits);
-                    join_planned(rule, steps, step + 1, next, relations, derived, cap);
-                    if exists_only {
-                        telemetry::bump(telemetry::Counter::ExistenceShortcuts);
-                        break;
+
+    /// Matches each delta candidate of body literal `literal` (indices
+    /// into its relation, see [`delta_candidates`]) and runs `rest` on
+    /// every match.
+    fn candidates(
+        &self,
+        literal: usize,
+        candidates: &[usize],
+        derived: &mut Vec<Fact>,
+        rest: impl Fn(&mut Frame, &mut Vec<Fact>) -> Kernel<()>,
+    ) -> Kernel<()> {
+        let Some(relation) = self.relations.get(&self.rule.body[literal].predicate) else {
+            return Ok(());
+        };
+        let terms = self.slots.body(literal);
+        let mut frame = Frame::new(self.slots);
+        for &index in candidates {
+            if derived.len() >= self.cap {
+                break;
+            }
+            let mark = frame.mark();
+            if frame.match_fact(self.slots, terms, relation.fact_ref(index))? {
+                rest(&mut frame, derived)?;
+            }
+            frame.undo(self.slots, mark);
+        }
+        Ok(())
+    }
+
+    /// Joins the body literals in the given order from `step` onwards.
+    ///
+    /// At each step the most selective determined argument position probes
+    /// the relation's hash index (exact matches plus the constraint-fact
+    /// tail); a literal with no determined arguments scans its window.
+    fn indexed(
+        &self,
+        order: &[(usize, Window)],
+        step: usize,
+        frame: &mut Frame,
+        derived: &mut Vec<Fact>,
+    ) -> Kernel<()> {
+        if derived.len() >= self.cap {
+            return Ok(());
+        }
+        let Some(&(literal_index, window)) = order.get(step) else {
+            return self.finish(frame, derived);
+        };
+        let Some(relation) = self.relations.get(&self.rule.body[literal_index].predicate) else {
+            return Ok(());
+        };
+        let terms = self.slots.body(literal_index);
+        match best_probe(frame, terms, relation, window)? {
+            Some((pos, value)) => {
+                telemetry::bump(telemetry::Counter::IndexProbes);
+                for fact in relation.probe(window, pos, &value) {
+                    let mark = frame.mark();
+                    if frame.match_fact(self.slots, terms, fact)? {
+                        telemetry::bump(telemetry::Counter::ProbeHits);
+                        self.indexed(order, step + 1, frame, derived)?;
+                    } else {
+                        telemetry::bump(telemetry::Counter::ProbeMisses);
                     }
-                } else {
-                    telemetry::bump(telemetry::Counter::ProbeMisses);
+                    frame.undo(self.slots, mark);
                 }
             }
-        }
-        None => {
-            for fact in relation.window_refs(plan_step.window) {
-                if let Some(next) = match_literal(&pm, literal, fact) {
-                    join_planned(rule, steps, step + 1, next, relations, derived, cap);
-                    if exists_only {
-                        telemetry::bump(telemetry::Counter::ExistenceShortcuts);
-                        break;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Recursively joins the body literals of `rule` with the legacy nested-loop,
-/// count-sliced discipline, visiting the literals in `order` from position
-/// `step` onwards and collecting at most `cap` derived facts.  The count
-/// slices are keyed by each literal's *original* body position relative to
-/// `delta_pos`, so the set of fact combinations enumerated is the same for
-/// every visit order — a permuted `order` (from a static plan) only changes
-/// how early unmatched combinations are cut off.
-#[allow(clippy::too_many_arguments)]
-fn join_legacy(
-    rule: &Rule,
-    order: &[usize],
-    step: usize,
-    delta_pos: usize,
-    naive_round: bool,
-    pm: PartialMatch,
-    relations: &BTreeMap<Pred, Relation>,
-    before_prev: &BTreeMap<Pred, usize>,
-    prev: &BTreeMap<Pred, usize>,
-    derived: &mut Vec<Fact>,
-    cap: usize,
-) {
-    if derived.len() >= cap {
-        return;
-    }
-    let Some(&index) = order.get(step) else {
-        finish_derivation(rule, pm, derived);
-        return;
-    };
-    let literal = &rule.body[index];
-    let pred = &literal.predicate;
-    let empty = Relation::new();
-    let relation = relations.get(pred).unwrap_or(&empty);
-    // Select the slice of facts visible to this literal under the semi-naive
-    // discipline (old facts before the delta literal, delta at the delta
-    // literal, everything known at the end of the previous iteration after).
-    // The naive round covers the facts present at the iteration boundary —
-    // the snapshot the `prev` counts captured — so the join reads the same
-    // slice whether the round's tasks run sequentially interleaved with
-    // absorption or all in parallel before it.
-    let (lo, hi) = if naive_round {
-        (0, prev.get(pred).copied().unwrap_or(0))
-    } else {
-        let before = before_prev.get(pred).copied().unwrap_or(0);
-        let end = prev.get(pred).copied().unwrap_or(0);
-        match index.cmp(&delta_pos) {
-            std::cmp::Ordering::Less => (0, before),
-            std::cmp::Ordering::Equal => (before, end),
-            std::cmp::Ordering::Greater => (0, end),
-        }
-    };
-    for fact_index in lo..hi.min(relation.len()) {
-        if let Some(next) = match_literal(&pm, literal, relation.fact_ref(fact_index)) {
-            join_legacy(
-                rule,
-                order,
-                step + 1,
-                delta_pos,
-                naive_round,
-                next,
-                relations,
-                before_prev,
-                prev,
-                derived,
-                cap,
-            );
-        }
-    }
-}
-
-/// Completes a derivation: checks consistency, builds the head fact, and
-/// records it.
-fn finish_derivation(rule: &Rule, mut pm: PartialMatch, derived: &mut Vec<Fact>) {
-    if !pm.resolve() || !pm.is_consistent() {
-        return;
-    }
-    if let Some(fact) = build_head_fact(&rule.head, &pm) {
-        derived.push(fact);
-    }
-}
-
-/// Attempts to extend a partial match with one fact for `literal`.
-///
-/// Columnar ground rows take a dedicated fast path: no free positions means
-/// no fresh-variable allocation and no constraint renaming, just value
-/// matching against the literal's arguments.
-fn match_literal(pm: &PartialMatch, literal: &Literal, fact: FactRef<'_>) -> Option<PartialMatch> {
-    match fact {
-        FactRef::Ground { row, .. } => match_ground_row(pm, literal, row),
-        FactRef::Stored(fact) => match_stored_fact(pm, literal, fact),
-    }
-}
-
-/// The ground fast path of [`match_literal`]: every position holds a value.
-fn match_ground_row(pm: &PartialMatch, literal: &Literal, row: &[Value]) -> Option<PartialMatch> {
-    if row.len() != literal.arity() {
-        return None;
-    }
-    let mut pm = pm.clone();
-    for (term, value) in literal.args.iter().zip(row) {
-        match value.as_num() {
             None => {
-                let sym = value.as_sym().expect("non-numeric value is a symbol");
-                match term {
-                    Term::Sym(s) => {
-                        if s != sym {
-                            return None;
-                        }
+                for fact in relation.window_refs(window) {
+                    let mark = frame.mark();
+                    if frame.match_fact(self.slots, terms, fact)? {
+                        self.indexed(order, step + 1, frame, derived)?;
                     }
-                    Term::Var(x) => {
-                        if !pm.bind_sym(x, sym) {
-                            return None;
-                        }
-                    }
-                    Term::Num(_) | Term::Expr(_) => return None,
+                    frame.undo(self.slots, mark);
                 }
-            }
-            Some(n) => match term {
-                Term::Sym(_) => return None,
-                Term::Num(k) => {
-                    if *k != n {
-                        return None;
-                    }
-                }
-                Term::Var(x) => {
-                    if !pm.bind_num(x, n) {
-                        return None;
-                    }
-                }
-                Term::Expr(e) => {
-                    if !pm.add_atom(Atom::compare(e.clone(), CmpOp::Eq, LinearExpr::constant(n))) {
-                        return None;
-                    }
-                }
-            },
-        }
-    }
-    // Propagate the new bindings into the residual constraint right away,
-    // exactly as the stored-fact path does: an atom that just became
-    // trivially false prunes the partial match *before* the join enumerates
-    // candidates for the next body literal.
-    if !pm.resolve() {
-        return None;
-    }
-    Some(pm)
-}
-
-/// The general path of [`match_literal`] for facts stored in full.
-fn match_stored_fact(pm: &PartialMatch, literal: &Literal, fact: &Fact) -> Option<PartialMatch> {
-    if fact.arity() != literal.arity() {
-        return None;
-    }
-    let mut pm = pm.clone();
-    // Rename the fact's free-position constraint onto fresh variables so that
-    // multiple facts of the same predicate do not collide.
-    let mut position_vars: Vec<Option<Var>> = vec![None; fact.arity()];
-    if !fact.constraint().is_trivially_true()
-        || fact.bindings().iter().any(|b| matches!(b, Binding::Free))
-    {
-        for (i, binding) in fact.bindings().iter().enumerate() {
-            if matches!(binding, Binding::Free) {
-                position_vars[i] = Some(pm.fresh_var(i + 1));
             }
         }
-        let renamed = fact.constraint().rename(&|v: &Var| {
-            if let Some(idx) = v.position_index() {
-                if let Some(Some(fresh)) = position_vars.get(idx - 1) {
-                    return fresh.clone();
-                }
-            }
-            v.clone()
-        });
-        for atom in renamed.atoms() {
-            if !pm.add_atom(atom.clone()) {
-                return None;
-            }
-        }
+        Ok(())
     }
 
-    for (i, (term, binding)) in literal.args.iter().zip(fact.bindings()).enumerate() {
-        match binding {
-            Binding::Bound(bound) => match bound.as_num() {
-                None => {
-                    let sym = bound.as_sym().expect("non-numeric value is a symbol");
-                    match term {
-                        Term::Sym(s) => {
-                            if s != sym {
-                                return None;
-                            }
-                        }
-                        Term::Var(x) => {
-                            if !pm.bind_sym(x, sym) {
-                                return None;
-                            }
-                        }
-                        Term::Num(_) | Term::Expr(_) => return None,
+    /// Joins the body literals along a precompiled plan from `step` onwards.
+    ///
+    /// Unlike [`Join::indexed`], which compares every determined argument
+    /// position per partial match to pick the shortest posting list, the
+    /// probe column here was fixed at plan-compilation time; if a
+    /// constraint-fact match left that column without a concrete value at
+    /// run time, the step falls back to scanning its window.  A step the
+    /// plan marked as an existence check stops at its first match — guarded
+    /// to the case where every argument resolves to a concrete value and the
+    /// relation holds no constraint facts, in which ground deduplication
+    /// guarantees at most one matching row anyway, so the shortcut saves the
+    /// rest of the scan without changing any statistics.
+    fn planned(
+        &self,
+        steps: &[PlanStep],
+        step: usize,
+        frame: &mut Frame,
+        derived: &mut Vec<Fact>,
+    ) -> Kernel<()> {
+        if derived.len() >= self.cap {
+            return Ok(());
+        }
+        let Some(plan_step) = steps.get(step) else {
+            return self.finish(frame, derived);
+        };
+        let Some(relation) = self
+            .relations
+            .get(&self.rule.body[plan_step.literal].predicate)
+        else {
+            return Ok(());
+        };
+        let terms = self.slots.body(plan_step.literal);
+        let mut exists_only = plan_step.existence && relation.constraint_fact_count() == 0;
+        for term in terms {
+            exists_only = exists_only && frame.value_of(term)?.is_some();
+        }
+        let probe = match plan_step.probe {
+            Some(pos) => frame.value_of(&terms[pos])?.map(|value| (pos, value)),
+            None => None,
+        };
+        match probe {
+            Some((pos, value)) => {
+                telemetry::bump(telemetry::Counter::IndexProbes);
+                for fact in relation.probe(plan_step.window, pos, &value) {
+                    let mark = frame.mark();
+                    let matched = frame.match_fact(self.slots, terms, fact)?;
+                    if matched {
+                        telemetry::bump(telemetry::Counter::ProbeHits);
+                        self.planned(steps, step + 1, frame, derived)?;
+                    } else {
+                        telemetry::bump(telemetry::Counter::ProbeMisses);
+                    }
+                    frame.undo(self.slots, mark);
+                    if matched && exists_only {
+                        telemetry::bump(telemetry::Counter::ExistenceShortcuts);
+                        break;
                     }
                 }
-                Some(value) => match term {
-                    Term::Sym(_) => return None,
-                    Term::Num(n) => {
-                        if *n != value {
-                            return None;
-                        }
+            }
+            None => {
+                for fact in relation.window_refs(plan_step.window) {
+                    let mark = frame.mark();
+                    let matched = frame.match_fact(self.slots, terms, fact)?;
+                    if matched {
+                        self.planned(steps, step + 1, frame, derived)?;
                     }
-                    Term::Var(x) => {
-                        if !pm.bind_num(x, value) {
-                            return None;
-                        }
-                    }
-                    Term::Expr(e) => {
-                        if !pm.add_atom(Atom::compare(
-                            e.clone(),
-                            CmpOp::Eq,
-                            LinearExpr::constant(value),
-                        )) {
-                            return None;
-                        }
-                    }
-                },
-            },
-            Binding::Free => {
-                let fresh = position_vars[i]
-                    .clone()
-                    .expect("free positions have fresh variables");
-                match term {
-                    Term::Sym(_) => return None,
-                    Term::Num(n) => {
-                        if !pm.add_atom(Atom::var_eq(fresh, *n)) {
-                            return None;
-                        }
-                    }
-                    Term::Var(x) => {
-                        if pm.sym.contains_key(x) {
-                            return None;
-                        }
-                        if !pm.add_atom(Atom::compare(
-                            LinearExpr::var(x.clone()),
-                            CmpOp::Eq,
-                            LinearExpr::var(fresh),
-                        )) {
-                            return None;
-                        }
-                    }
-                    Term::Expr(e) => {
-                        if !pm.add_atom(Atom::compare(e.clone(), CmpOp::Eq, LinearExpr::var(fresh)))
-                        {
-                            return None;
-                        }
+                    frame.undo(self.slots, mark);
+                    if matched && exists_only {
+                        telemetry::bump(telemetry::Counter::ExistenceShortcuts);
+                        break;
                     }
                 }
             }
         }
+        Ok(())
     }
-    if !pm.resolve() {
-        return None;
-    }
-    Some(pm)
-}
 
-/// Builds the head fact of a completed derivation.
-fn build_head_fact(head: &Literal, pm: &PartialMatch) -> Option<Fact> {
-    let mut bindings: Vec<Binding> = Vec::with_capacity(head.arity());
-    let mut constraint = pm.extra.clone();
-    for (i, term) in head.args.iter().enumerate() {
-        let position = Var::position(i + 1);
-        match term {
-            Term::Sym(s) => bindings.push(Binding::Bound(Value::Sym(*s))),
-            Term::Num(n) => bindings.push(Binding::Bound(Value::num(*n))),
-            Term::Var(x) => {
-                if let Some(sym) = pm.sym.get(x) {
-                    bindings.push(Binding::Bound(Value::Sym(*sym)));
-                } else if let Some(value) = pm.num.get(x) {
-                    bindings.push(Binding::Bound(Value::num(*value)));
-                } else {
-                    bindings.push(Binding::Free);
-                    constraint.push(Atom::compare(
-                        LinearExpr::var(position),
-                        CmpOp::Eq,
-                        LinearExpr::var(x.clone()),
-                    ));
-                }
-            }
-            Term::Expr(e) => {
-                let mut expr = e.clone();
-                for v in e.vars() {
-                    if let Some(value) = pm.num.get(v) {
-                        expr = expr.substitute(v, &LinearExpr::constant(*value));
-                    } else if pm.sym.contains_key(v) {
-                        return None;
-                    }
-                }
-                if expr.is_constant() {
-                    bindings.push(Binding::Bound(Value::num(expr.constant_part())));
-                } else {
-                    bindings.push(Binding::Free);
-                    constraint.push(Atom::compare(LinearExpr::var(position), CmpOp::Eq, expr));
-                }
-            }
+    /// Joins the body literals with the legacy nested-loop, count-sliced
+    /// discipline, visiting the literals in `order` from position `step`
+    /// onwards.  The count slices are keyed by each literal's *original* body
+    /// position relative to `delta_pos`, so the set of fact combinations
+    /// enumerated is the same for every visit order — a permuted `order`
+    /// (from a static plan) only changes how early unmatched combinations
+    /// are cut off.
+    fn legacy(
+        &self,
+        order: &[usize],
+        step: usize,
+        delta_pos: usize,
+        ctx: &RoundCtx<'_>,
+        frame: &mut Frame,
+        derived: &mut Vec<Fact>,
+    ) -> Kernel<()> {
+        if derived.len() >= self.cap {
+            return Ok(());
         }
+        let Some(&index) = order.get(step) else {
+            return self.finish(frame, derived);
+        };
+        let pred = &self.rule.body[index].predicate;
+        let empty = Relation::new();
+        let relation = self.relations.get(pred).unwrap_or(&empty);
+        // Select the slice of facts visible to this literal under the
+        // semi-naive discipline (old facts before the delta literal, delta at
+        // the delta literal, everything known at the end of the previous
+        // iteration after).  The naive round covers the facts present at the
+        // iteration boundary — the snapshot the `prev` counts captured — so
+        // the join reads the same slice whether the round's tasks run
+        // sequentially interleaved with absorption or all in parallel
+        // before it.
+        let (lo, hi) = if ctx.naive_round {
+            (0, ctx.prev.get(pred).copied().unwrap_or(0))
+        } else {
+            let before = ctx.before_prev.get(pred).copied().unwrap_or(0);
+            let end = ctx.prev.get(pred).copied().unwrap_or(0);
+            match index.cmp(&delta_pos) {
+                std::cmp::Ordering::Less => (0, before),
+                std::cmp::Ordering::Equal => (before, end),
+                std::cmp::Ordering::Greater => (0, end),
+            }
+        };
+        let terms = self.slots.body(index);
+        for fact_index in lo..hi.min(relation.len()) {
+            let mark = frame.mark();
+            if frame.match_fact(self.slots, terms, relation.fact_ref(fact_index))? {
+                self.legacy(order, step + 1, delta_pos, ctx, frame, derived)?;
+            }
+            frame.undo(self.slots, mark);
+        }
+        Ok(())
     }
-    let keep: std::collections::BTreeSet<Var> = (1..=head.arity()).map(Var::position).collect();
-    let projected = constraint.project(&keep);
-    Fact::new(head.predicate.clone(), bindings, projected)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcs_constraints::Rational;
     use pcs_lang::parse_program;
 
     fn eval(source: &str, db: &Database) -> EvalResult {
@@ -2648,6 +2385,31 @@ mod tests {
         assert_eq!(result.termination, Termination::IterationLimit);
         assert_eq!(result.stats.iterations.len(), 5);
         assert!(result.count_for(&Pred::new("nat")) >= 4);
+    }
+
+    #[test]
+    fn arithmetic_overflow_ends_the_evaluation() {
+        // Doubling from 1 reaches 2^126 after 126 rounds; the next
+        // derivation overflows i128 inside the join kernel.
+        let program = parse_program("big(1).\nbig(X) :- big(Y), X = Y + Y.").unwrap();
+        let db = Database::new();
+        for options in [EvalOptions::indexed(), EvalOptions::legacy()] {
+            for threads in [1, 2] {
+                let options = options
+                    .clone()
+                    .with_threads(threads)
+                    .with_min_parallel_work(0);
+                let result = Evaluator::new(&program, options).evaluate(&db);
+                assert_eq!(result.termination, Termination::ArithmeticOverflow);
+                assert_eq!(
+                    result.count_for(&Pred::new("big")),
+                    127,
+                    "threads = {threads}"
+                );
+                let largest = Literal::new("big", vec![Term::Num(Rational::from_int(1 << 126))]);
+                assert_eq!(result.answers(&Query::new(largest)).len(), 1);
+            }
+        }
     }
 
     #[test]

@@ -35,6 +35,7 @@ pub mod limits;
 pub mod naive;
 pub mod plan;
 pub mod relation;
+mod slots;
 pub mod stats;
 pub mod value;
 

@@ -47,6 +47,10 @@ pub enum Termination {
     FactLimit,
     /// The derivation limit was hit before reaching a fixpoint.
     DerivationLimit,
+    /// Exact arithmetic in the join kernel overflowed `i128` (e.g. a rule
+    /// that keeps doubling a number); the facts derived before the
+    /// overflow are kept, as with the other limits.
+    ArithmeticOverflow,
 }
 
 impl Termination {

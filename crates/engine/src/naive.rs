@@ -19,7 +19,7 @@
 //! One deliberate semantic mirror: like the production cores' rule
 //! application, a symbolic constant in a body literal does not match a
 //! *free* fact position (free positions range over the reals as soon as a
-//! rule body inspects them) — see `match_literal` in `eval.rs`.
+//! rule body inspects them) — see `Frame::match_fact` in `slots.rs`.
 
 use std::collections::BTreeMap;
 

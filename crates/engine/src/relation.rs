@@ -65,8 +65,8 @@ pub enum Window {
 /// A borrowed view of one stored fact.
 ///
 /// Ground facts stored columnar appear as a predicate plus a row of values;
-/// everything else borrows the stored [`Fact`].  The join core pattern
-/// matches on this to take a renaming-free fast path for ground rows.
+/// everything else borrows the stored [`Fact`].  The join kernel pattern
+/// matches on this to bind a ground row's values straight into its slots.
 #[derive(Clone, Copy)]
 pub enum FactRef<'a> {
     /// A ground fact stored as a columnar row.

@@ -1163,6 +1163,29 @@ mod tests {
     }
 
     #[test]
+    fn arithmetic_overflow_is_a_partial_materialization() {
+        // The doubling rule overflows i128 after 126 rounds; the
+        // session keeps the facts derived so far and reports the stop
+        // instead of panicking the thread that materializes it.
+        let program = pcs_lang::parse_program(
+            "big(1).\nbig(X) :- seed(S), big(Y), X = Y + Y + S.\n?- big(X).",
+        )
+        .unwrap();
+        let mut db = Database::new();
+        db.add_facts_str("seed(0).").unwrap();
+        let optimizer = Optimizer::new(program).strategy(Strategy::None);
+        let session = Session::materialize(&optimizer, &db).unwrap();
+        assert_eq!(session.stats().termination, Termination::ArithmeticOverflow);
+        let answers = session.query(&parse_query("?- big(X).").unwrap()).unwrap();
+        assert_eq!(answers.2.len(), 127);
+        let err = session.insert_str("seed(1).").unwrap_err();
+        assert!(matches!(
+            err,
+            SessionError::PartialMaterialization(Termination::ArithmeticOverflow)
+        ));
+    }
+
+    #[test]
     fn updates_are_refused_on_partial_materializations() {
         // A diverging counter program capped at a few iterations: the base
         // materialization is partial, so resuming from it would silently
